@@ -10,9 +10,10 @@
 // carry a documented waiver).
 //
 // The Go head type-checks the module with go/types and runs repo-specific
-// analyzers. The classic set — determinism, panicpath, errcheck,
-// explainkinds, faultkinds — is joined by five dataflow analyzers over a
-// shared fact base: ctxflow (context plumbing), lockdiscipline (mutex
+// analyzers. The classic set — determinism, panicpath, errcheck, and the
+// four vocabulary-coverage rows explainkinds, faultkinds, plancoverage and
+// scenariocoverage — is joined by five dataflow analyzers over a shared
+// fact base: ctxflow (context plumbing), lockdiscipline (mutex
 // copies and calls under lock), goleak (goroutine termination), mapflow
 // (map iteration order reaching serialized output), and telemetrycontract
 // (metric label cardinality).

@@ -302,6 +302,82 @@ func TestApply(t *testing.T) {
 	}
 }
 
+// TestCoverageIgnoresTestComments pins the "exercised by a test" rule to
+// identifier tokens: a kind named in a test's comment or string literal is
+// still reported, one named in test code is not.
+func TestCoverageIgnoresTestComments(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module fixture\n\ngo 1.24\n",
+		"chaos/chaos.go": `package chaos
+
+// Kind names one injectable fault.
+type Kind string
+
+const (
+	KindCoded     Kind = "coded"     // named in test code
+	KindCommented Kind = "commented" // named only in a test comment
+	KindQuoted    Kind = "quoted"    // named only in a test string
+)
+
+// Apply dispatches every kind.
+func Apply(k Kind) string {
+	switch k {
+	case KindCoded, KindCommented, KindQuoted:
+		return string(k)
+	}
+	return ""
+}
+`,
+		"chaos/chaos_test.go": `package chaos
+
+import "testing"
+
+// TestApply covers KindCommented, or so this comment claims.
+func TestApply(t *testing.T) {
+	if Apply(KindCoded) != "coded" {
+		t.Error("KindQuoted")
+	}
+}
+`,
+	}
+	for name, content := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := LoadGoPackages(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFindings(t, faultKindsFor("fixture/chaos").Run(pkgs), "faultkinds", []string{
+		"faultline.KindCommented is exercised by no test in its package",
+		"faultline.KindQuoted is exercised by no test in its package",
+	}, []string{"KindCoded"})
+}
+
+// TestDefaultGoAnalyzersNames pins the Go head's check set and order: the
+// names feed finding IDs, SARIF rule IDs and the baseline, so a merge or
+// rename must be a deliberate edit here, not a silent orphaning.
+func TestDefaultGoAnalyzersNames(t *testing.T) {
+	want := []string{
+		"determinism", "panicpath", "errcheck", "explainkinds", "faultkinds",
+		"plancoverage", "scenariocoverage", "ctxflow", "lockdiscipline",
+		"goleak", "mapflow", "telemetrycontract",
+	}
+	var got []string
+	for _, a := range DefaultGoAnalyzers() {
+		got = append(got, a.Name)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("DefaultGoAnalyzers names = %v, want %v", got, want)
+	}
+}
+
 // TestPlanCoverageDetectsUnloweredKinds proves the plancoverage analyzer
 // can fail, against the vetmod fixture: LitExpr is fully wired (compile
 // case plus test mention) and stays quiet, AddExpr compiles but no fixture

@@ -292,12 +292,11 @@ func (s *Site) startRun(spec runSpec) (*run, error) {
 	rm.mu.Lock()
 	rm.nextID++
 	id := fmt.Sprintf("run-%08d", rm.nextID)
-	r := newRun(id)
-	rm.runs[id] = r
-	rm.order = append(rm.order, id)
 	dir := rm.dir
 	rm.mu.Unlock()
 
+	// The run is registered only once its journal is open: a start that
+	// fails leaves nothing listed for clients to wait on forever.
 	var w *journal.Writer
 	if dir != "" {
 		var err error
@@ -308,7 +307,12 @@ func (s *Site) startRun(spec runSpec) (*run, error) {
 	} else {
 		w = journal.NewWriter(io.Discard)
 	}
+	r := newRun(id)
 	w.Tap(r.publish)
+	rm.mu.Lock()
+	rm.runs[id] = r
+	rm.order = append(rm.order, id)
+	rm.mu.Unlock()
 
 	rec := &journal.Recorder{W: w, RunID: id, Harness: "thalia-server"}
 	systems := spec.systems

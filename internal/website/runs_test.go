@@ -480,6 +480,60 @@ func TestJournalDirPersistAndReload(t *testing.T) {
 	}
 }
 
+// A run whose journal cannot be created fails to start and leaves no
+// trace: the POST answers 500, and neither /runs/{id} nor the listing
+// shows a run that would never finish.
+func TestStartRunJournalFailureRegistersNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := New()
+	if err := s.SetJournalDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the first run's journal file belongs makes
+	// journal.Create fail.
+	if err := os.Mkdir(filepath.Join(dir, "run-00000001.jsonl"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.PostForm(ts.URL+"/runs", url.Values{"system": {"cohera"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("POST /runs: status %d, want 500", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/runs/run-00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /runs/run-00000001: status %d, want 404", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listing struct {
+		Runs []struct {
+			ID string `json:"id"`
+		} `json:"runs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&listing)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Runs) != 0 {
+		t.Errorf("listing shows runs after a failed start: %+v", listing.Runs)
+	}
+}
+
 // A partially written journal (no run_end — crashed or still running at
 // copy time) reloads as an incomplete run, and Last-Event-ID resume from
 // it replays exactly the events that made it to disk.

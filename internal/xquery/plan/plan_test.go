@@ -94,9 +94,8 @@ func renderSequence(s xquery.Sequence) string {
 	return b.String()
 }
 
-// equivalenceQueries covers every AST node kind (the plancoverage analyzer
-// checks this file mentions each kind's exercising query) and the runtime
-// semantics both engines share.
+// equivalenceQueries covers every AST node kind (TestEquivalenceQueriesCoverEveryKind
+// checks it) and the runtime semantics both engines share.
 var equivalenceQueries = []string{
 	// PathExpr + FLWOR + StringLit + Binary comparison.
 	`FOR $c in doc("a.xml")/catalog/course WHERE $c/instructor = "Mark" RETURN $c/title`,
@@ -180,6 +179,54 @@ func TestPlanMatchesInterpreter(t *testing.T) {
 				t.Fatalf("result divergence:\ninterpreter:\n%s\nplan:\n%s", w, g)
 			}
 		})
+	}
+}
+
+// TestEquivalenceQueriesCoverEveryKind walks the parsed equivalence
+// queries and asserts each xquery.Expr kind occurs, so the interpreter
+// comparison above exercises the compiler's lowering of every kind.
+func TestEquivalenceQueriesCoverEveryKind(t *testing.T) {
+	seen := map[string]bool{}
+	for _, src := range equivalenceQueries {
+		expr, err := xquery.Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		xquery.Walk(expr, func(e xquery.Expr) bool {
+			switch e.(type) {
+			case *xquery.FLWOR:
+				seen["FLWOR"] = true
+			case *xquery.PathExpr:
+				seen["PathExpr"] = true
+			case *xquery.VarRef:
+				seen["VarRef"] = true
+			case *xquery.StringLit:
+				seen["StringLit"] = true
+			case *xquery.NumberLit:
+				seen["NumberLit"] = true
+			case *xquery.Binary:
+				seen["Binary"] = true
+			case *xquery.Unary:
+				seen["Unary"] = true
+			case *xquery.Call:
+				seen["Call"] = true
+			case *xquery.SeqExpr:
+				seen["SeqExpr"] = true
+			case *xquery.ElemCtor:
+				seen["ElemCtor"] = true
+			case *xquery.Quantified:
+				seen["Quantified"] = true
+			case *xquery.IfExpr:
+				seen["IfExpr"] = true
+			default:
+				t.Errorf("unnamed Expr kind %T", e)
+			}
+			return true
+		})
+	}
+	const wantKinds = 12
+	if len(seen) != wantKinds {
+		t.Errorf("equivalence queries exercise %d Expr kinds, want %d: %v", len(seen), wantKinds, seen)
 	}
 }
 
