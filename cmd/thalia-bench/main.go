@@ -18,25 +18,26 @@
 // replays into the run summary — CI uploads it and asserts the replay
 // reproduces the digest recorded in the journal's run-end event.
 //
-// engine times benchmark.MeasureEngine (the uncached sequential seed path
-// vs the shared-prep-cached sequential and pooled configurations, over the
-// four built-in systems, plus the xquery_eval interpreter-vs-plan engine
-// rows); -profile writes cpu.pprof and heap.pprof for the measurement to
-// DIR, so a red gate in CI is diagnosable from the uploaded artifact. chaos
-// times benchmark.MeasureChaos (the same evaluation under a seeded
-// standard-mix fault plan with the default resilience policy — the cost of
-// retries, backoff, and breaker accounting); server drives
-// website.MeasureServer (N concurrent clients replaying the
-// catalog/schema/query routes); plan reports per-query ns/op for the
-// compiled-plan engine — the default execution path — against the
+// engine times benchmark.MeasureEngine (the sequential seed path without the
+// shared-prep cache vs the prep-cached sequential and pooled configurations,
+// with the four built-in systems answering every query for real, plus the
+// xquery_eval interpreter-vs-plan engine rows); -profile writes cpu.pprof
+// and heap.pprof for the measurement to DIR, so a red gate in CI is
+// diagnosable from the uploaded artifact. chaos times benchmark.MeasureChaos
+// (the same evaluation under a seeded standard-mix fault plan with the
+// default resilience policy — the cost of retries, backoff, and breaker
+// accounting); server drives website.MeasureServer (N concurrent clients
+// replaying the catalog/schema/query routes); plan reports per-query ns/op
+// for the compiled-plan engine — the default execution path — against the
 // reference interpreter (the -engine=interp escape hatch), checking result
-// equality as it goes. compare reads two artifacts of the same suite and
-// fails (exit 1) if the fresh run regressed beyond the tolerance:
-// engine/chaos ns/op per configuration (including the plan_cache and
-// xquery_eval rows), the seq→cached speedup ratio and the interp→plan
-// xquery_speedup ratio, server p95 per route. -slowdown multiplies the
-// fresh numbers first — an injected regression that proves the gate
-// actually trips.
+// equality as it goes. compare reads two artifacts of the same suite,
+// refuses them unless both were measured at the same GOMAXPROCS (the
+// committed baselines use 1), and fails (exit 1) if the fresh run regressed
+// beyond the tolerance: engine/chaos ns/op per configuration (including the
+// plan_cache and xquery_eval rows), the seq→cached speedup ratio and the
+// interp→plan xquery_speedup ratio, server p95 per route. -slowdown
+// multiplies the fresh numbers first — an injected regression that proves
+// the gate actually trips.
 //
 // scale times scenario.MeasureScale: generated workloads of -sources
 // catalogs (comma-separated curve points) with the -mix heterogeneity mix,
@@ -480,9 +481,11 @@ func planCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// suiteProbe reads just the suite discriminator of a BENCH_*.json file.
+// suiteProbe reads the fields every BENCH_*.json suite shares: its
+// discriminator and the GOMAXPROCS it was measured at.
 type suiteProbe struct {
-	Suite string `json:"suite"`
+	Suite      string `json:"suite"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 }
 
 func compareCmd(args []string, out io.Writer) error {
@@ -514,6 +517,12 @@ func compareCmd(args []string, out io.Writer) error {
 	}
 	if baseProbe.Suite != freshProbe.Suite {
 		return fmt.Errorf("suite mismatch: baseline %q vs fresh %q", baseProbe.Suite, freshProbe.Suite)
+	}
+	// Pool rows are named par<GOMAXPROCS> and parallel timings scale with
+	// it, so runs at different settings do not compare like with like.
+	if baseProbe.GoMaxProcs != freshProbe.GoMaxProcs {
+		return fmt.Errorf("gomaxprocs mismatch: baseline %d vs fresh %d (measure with GOMAXPROCS=%d)",
+			baseProbe.GoMaxProcs, freshProbe.GoMaxProcs, baseProbe.GoMaxProcs)
 	}
 
 	var regressions []string

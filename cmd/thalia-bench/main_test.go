@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"thalia/internal/website"
 )
 
-// writeReports produces a small real engine artifact and a fresh copy —
-// identical runs, so compare must pass at any sane tolerance.
-func writeEngineReport(t *testing.T, path string) {
+// writeEngineReport produces a small real engine artifact at path and
+// returns it, so a test can write a modified copy beside it.
+func writeEngineReport(t *testing.T, path string) *benchmark.Report {
 	t.Helper()
 	rep, err := benchmark.MeasureEngine(1, []int{2}, systems()...)
 	if err != nil {
@@ -20,6 +21,7 @@ func writeEngineReport(t *testing.T, path string) {
 	if err := rep.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
+	return rep
 }
 
 func TestCompareEnginePassAndInjectedSlowdownFails(t *testing.T) {
@@ -117,5 +119,25 @@ func TestCompareSuiteMismatch(t *testing.T) {
 	if err := run([]string{"compare", "-baseline", engine, "-fresh", server}, &out); err == nil ||
 		!strings.Contains(err.Error(), "suite mismatch") {
 		t.Fatalf("err = %v, want suite mismatch", err)
+	}
+}
+
+// A fresh run measured at another GOMAXPROCS than the baseline names its
+// pool row differently and times it on a different CPU budget: compare
+// must refuse it outright rather than report false regressions.
+func TestCompareGomaxprocsMismatch(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	fresh := filepath.Join(dir, "fresh.json")
+	rep := writeEngineReport(t, base)
+	rep.GoMaxProcs++
+	if err := rep.WriteJSON(fresh); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"compare", "-baseline", base, "-fresh", fresh}, &out)
+	want := fmt.Sprintf("gomaxprocs mismatch: baseline %d vs fresh %d", rep.GoMaxProcs-1, rep.GoMaxProcs)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

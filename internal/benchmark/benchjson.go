@@ -42,9 +42,9 @@ type Report struct {
 	Systems []string `json:"systems"`
 	// Timings holds one entry per measured configuration.
 	Timings []Timing `json:"timings"`
-	// Speedup is the uncached sequential ns/op divided by the best cached
-	// configuration's ns/op — the combined gain from shared preparation and
-	// the worker pool over the seed path.
+	// Speedup is the sequential ns/op without the prep cache divided by the
+	// best prep-cached configuration's ns/op — the combined gain from shared
+	// preparation and the worker pool over the seed path.
 	Speedup float64 `json:"speedup"`
 	// XQuerySpeedup is the interpreter's ns/op divided by the compiled-plan
 	// engine's for one pass of the twelve benchmark queries — the gate that
@@ -66,7 +66,9 @@ type Report struct {
 //
 // Systems are warmed with one throwaway evaluation first so one-time
 // materialization (warehouse builds, relation shredding) doesn't distort
-// the comparison.
+// the comparison. Every timed row then has the warm systems answer all
+// queries for real: no answer is memoized, so each row includes the
+// systems' integration work as well as the engine's.
 func MeasureEngine(runs int, poolSizes []int, systems ...integration.System) (*Report, error) {
 	if runs <= 0 {
 		runs = 1

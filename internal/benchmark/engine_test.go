@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,34 @@ func TestScorecardsIdenticalWithIndexDisabled(t *testing.T) {
 
 // Shared System values must survive many concurrent Evaluate calls — the
 // concurrency contract of integration.System, enforced under -race.
+// Every benchmark timing assumes an Answer call does the system's real
+// work. A system that memoized its answers would hand a repeat request the
+// same *Answer again, so each repeat must build a fresh value that is
+// otherwise identical to the first.
+func TestSystemsDoNotMemoizeAnswers(t *testing.T) {
+	for _, sys := range allSystems() {
+		for _, q := range Queries() {
+			first, err1 := sys.Answer(q.Request())
+			second, err2 := sys.Answer(q.Request())
+			cell := fmt.Sprintf("%s q%d", sys.Name(), q.ID)
+			if err1 != nil || err2 != nil {
+				if fmt.Sprint(err1) != fmt.Sprint(err2) {
+					t.Errorf("%s: errors differ across calls: %v vs %v", cell, err1, err2)
+				}
+				continue
+			}
+			if first == second {
+				t.Errorf("%s: repeat call returned the same *Answer (memoized)", cell)
+			}
+			if !reflect.DeepEqual(first.Rows, second.Rows) ||
+				first.Effort != second.Effort ||
+				!reflect.DeepEqual(first.Functions, second.Functions) {
+				t.Errorf("%s: repeat answer differs:\n%+v\n%+v", cell, first, second)
+			}
+		}
+	}
+}
+
 func TestConcurrentEvaluateStress(t *testing.T) {
 	systems := allSystems()
 	// Expected correct counts per system name, from Section 4.2.

@@ -1,5 +1,7 @@
 package catalog
 
+import "strconv"
+
 // This file holds the deterministic course pool that fills each source's
 // catalog beyond the paper's verbatim sample courses. Every university draws
 // a different slice of the pool (offset by a stable per-school index), so
@@ -129,21 +131,7 @@ func fillerCourses(key, prefix string, n int) []Course {
 }
 
 func numberFmt(prefix string, num int) string {
-	return prefix + itoa(num)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return prefix + strconv.Itoa(num)
 }
 
 func lower(s string) string {

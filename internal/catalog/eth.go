@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -59,7 +60,7 @@ func init() {
 			Days:        []string{"Mo", "Di", "Mi", "Do", "Fr"}[i%5],
 			Start:       p.Start,
 			End:         p.End,
-			Room:        "HG E" + itoa(3+i),
+			Room:        "HG E" + strconv.Itoa(3+i),
 			UnitsNote:   fmt.Sprintf("%dV%dU", 1+p.Credits/2, p.Credits%2+1),
 		})
 	}

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -137,12 +138,12 @@ func makeSectionedSource(name, university, country, heading, prefix string, n in
 	for i := range courses {
 		c := &courses[i]
 		c.Sections = []Section{{
-			Num: "001", ID: itoa(9000 + i*7), Teacher: c.Instructors[0].Name,
+			Num: "001", ID: strconv.Itoa(9000 + i*7), Teacher: c.Instructors[0].Name,
 			Days: c.Days, Time: Clock12(c.Start), Room: strings.ReplaceAll(c.Room, " ", ""),
 		}}
 		if i%2 == 0 {
 			c.Sections = append(c.Sections, Section{
-				Num: "002", ID: itoa(9001 + i*7), Teacher: "Staff",
+				Num: "002", ID: strconv.Itoa(9001 + i*7), Teacher: "Staff",
 				Days: "F", Time: Clock12(c.Start + 60), Room: strings.ReplaceAll(c.Room, " ", ""),
 			})
 		}

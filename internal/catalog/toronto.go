@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -60,7 +61,7 @@ func init() {
 			Days:        p.Days,
 			Start:       p.Start,
 			End:         p.End,
-			Room:        "BA " + itoa(1000+i*57),
+			Room:        "BA " + strconv.Itoa(1000+i*57),
 			Credits:     p.Credits,
 			Textbook:    tb,
 		})

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -47,7 +48,7 @@ func init() {
 			Days:        p.Days,
 			Start:       p.Start,
 			End:         p.End,
-			Room:        "EBU3B " + itoa(1000+i*101),
+			Room:        "EBU3B " + strconv.Itoa(1000+i*101),
 			Credits:     p.Credits,
 		})
 	}

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -53,7 +54,7 @@ func init() {
 			Days:        p.Days,
 			Start:       p.Start,
 			End:         p.End,
-			Room:        "LGRT " + itoa(200+i*13),
+			Room:        "LGRT " + strconv.Itoa(200+i*13),
 			Credits:     p.Credits,
 		})
 	}

@@ -50,9 +50,6 @@ type System struct {
 	// shred is a test seam for the regression suite's fail-once builds;
 	// nil means shredAll.
 	shred func(*minidb.DB) error
-	// cache memoizes successful answers by request identity; recorded
-	// (explain) calls and errors bypass it.
-	cache integration.AnswerCache
 }
 
 // New returns a Cohera instance over the built-in testbed.
@@ -361,15 +358,9 @@ func rows(res *minidb.Result, source string, fields ...string) []integration.Row
 	return out
 }
 
-// Answer implements integration.System. Repeat un-recorded requests are
-// served from the system's answer cache; see integration.AnswerCache for the
-// invariants (errors and recorded traces always re-evaluate).
+// Answer implements integration.System: it computes the paper's projected
+// per-query behaviour.
 func (s *System) Answer(req integration.Request) (*integration.Answer, error) {
-	return s.cache.Do(req, s.answer)
-}
-
-// answer computes the paper's projected per-query behaviour.
-func (s *System) answer(req integration.Request) (*integration.Answer, error) {
 	// The answer span opens before build() so a cold first call attributes
 	// the one-time testbed shredding to this cell's trace.
 	rec := explain.FromContext(req.Context())

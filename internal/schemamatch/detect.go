@@ -3,6 +3,7 @@ package schemamatch
 import (
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"thalia/internal/catalog"
@@ -253,7 +254,7 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 	for concept, ia := range a {
 		if ib, ok := b[concept]; ok && ia.depth != ib.depth {
 			add(hetero.SameAttributeDifferentStructure,
-				string(concept)+" at depth "+itoa(ia.depth)+" vs "+itoa(ib.depth))
+				string(concept)+" at depth "+strconv.Itoa(ia.depth)+" vs "+strconv.Itoa(ib.depth))
 			case9 = true
 			break
 		}
@@ -438,16 +439,4 @@ func merged(a, b map[Concept]*conceptInfo) map[Concept]*conceptInfo {
 		}
 	}
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	digits := []byte{}
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
 }

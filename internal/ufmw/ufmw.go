@@ -25,9 +25,6 @@ import (
 type Mediator struct {
 	lex *mapping.Lexicon
 	reg *mapping.Registry
-	// cache memoizes successful answers by request identity; recorded
-	// (explain) calls and errors bypass it.
-	cache integration.AnswerCache
 }
 
 // New returns a mediator over the built-in testbed.
@@ -73,9 +70,7 @@ func (m *Mediator) use(names ...string) ([]integration.FunctionUse, error) {
 func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) {
 	rec := explain.FromContext(req.Context())
 	if rec == nil {
-		// Un-recorded repeats are served from the answer cache; see
-		// integration.AnswerCache for the invariants.
-		return m.cache.Do(req, m.answer)
+		return m.answer(req)
 	}
 	sp := rec.Begin(explain.KindAnswer, "UFMW.Answer")
 	defer sp.End()
