@@ -73,6 +73,7 @@ import (
 	"thalia/internal/ufmw"
 	"thalia/internal/website"
 	"thalia/internal/xquery"
+	"thalia/internal/xquery/plan"
 )
 
 func main() {
@@ -419,11 +420,11 @@ func serverCmd(args []string, out io.Writer) error {
 // planCmd reports per-query compiled-plan vs reference-interpreter timings
 // over the benchmark queries, evaluated against the extracted catalogs. The
 // compiled plan is the default execution path, so its result is the ground
-// truth here too: each query is compiled through a runner-style PrepCache
-// plan cache and re-evaluated -runs times — the reuse pattern a real run
-// gives — and the interpreter (the -engine=interp escape hatch) is checked
-// against the plan's answer before timing, so the report cannot quietly
-// compare different answers.
+// truth here too: each query is compiled once through a plan.Cache and
+// re-evaluated -runs times — the reuse pattern a real run gives — and the
+// interpreter (the -engine=interp escape hatch) is checked against the
+// plan's answer before timing, so the report cannot quietly compare
+// different answers.
 func planCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	runs := fs.Int("runs", 200, "evaluations per engine per query")
@@ -434,7 +435,7 @@ func planCmd(args []string, out io.Writer) error {
 		*runs = 1
 	}
 	resolve := catalog.Resolver()
-	prep := benchmark.NewPrepCache()
+	plans := plan.NewCache()
 	fmt.Fprintf(out, "%-5s %14s %14s %8s\n", "query", "interp ns/op", "plan ns/op", "ratio")
 	var totalI, totalP int64
 	for _, q := range benchmark.Queries() {
@@ -442,7 +443,7 @@ func planCmd(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("q%02d: parse: %w", q.ID, err)
 		}
-		p, err := prep.Plans.Get(q.XQuery)
+		p, err := plans.Get(q.XQuery)
 		if err != nil {
 			return fmt.Errorf("q%02d: compile: %w", q.ID, err)
 		}

@@ -3,8 +3,9 @@
 // representation, view the extracted XML documents and corresponding
 // schemas, download the benchmark bundles, upload scores, and view the
 // Honor Roll — plus the observability surface: /metrics (JSON and
-// Prometheus text), /healthz, /debug/traces, and net/http/pprof under
-// /debug/pprof/.
+// Prometheus text), /healthz, /debug/traces (the recent requests as
+// explain traces, each identified by its X-Request-ID), /debug/explain,
+// and net/http/pprof under /debug/pprof/.
 //
 // With -journal-dir, benchmark runs started at POST /runs are
 // flight-recorded to disk and reloaded on restart, so /runs history

@@ -209,7 +209,7 @@ func TestExplainKindsDetectsDeadVocabulary(t *testing.T) {
 		t.Fatal(err)
 	}
 	findings := ExplainKinds().Run(pkgs)
-	const wantKinds = 19
+	const wantKinds = 20
 	if len(findings) != wantKinds {
 		t.Errorf("got %d findings, want %d (one per Kind constant)", len(findings), wantKinds)
 	}

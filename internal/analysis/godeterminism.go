@@ -10,12 +10,14 @@ import (
 // DeterminismScope lists the packages whose output must be bit-for-bit
 // reproducible: the catalog generators (the testbed's published artifacts
 // must never change between runs), the TESS extraction pipeline they feed,
-// and the integration-layer comparison code whose diagnostics the benchmark
-// reports verbatim.
+// the integration-layer comparison code whose diagnostics the benchmark
+// reports verbatim, and the heterogeneity detector whose evidence
+// `thalia detect` prints verbatim.
 var DeterminismScope = []string{
 	"thalia/internal/catalog",
 	"thalia/internal/tess",
 	"thalia/internal/integration",
+	"thalia/internal/schemamatch",
 }
 
 // Determinism returns the analyzer that bans nondeterminism sources from

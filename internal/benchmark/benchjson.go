@@ -144,8 +144,8 @@ const xqueryPassesPerRun = 40
 //   - "xquery_eval/interp": the reference interpreter, re-parsing per
 //     evaluation — the pre-flip seed path.
 //   - "xquery_eval/plan": the compiled-plan engine behind a plan.Cache —
-//     the default execution path a real run exercises through the
-//     runner's PrepCache.
+//     the default execution path, which a real run reaches through
+//     plan.EvalQuery's process-wide cache.
 //
 // Their ratio is the Report's XQuerySpeedup, the engine-flip gate.
 func measureXQueryEngines(runs int) ([]Timing, error) {

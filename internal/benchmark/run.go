@@ -36,10 +36,9 @@ type Runner struct {
 	// perturbing: rendered scorecards are byte-identical either way.
 	ExplainFailures bool
 	// Prep, when non-nil, is the per-run shared-preparation cache: expected
-	// answers are computed once per query instead of once per cell, and
-	// compiled query plans are shared through Prep.Plans. NewRunner and
-	// NewSequentialRunner attach one; a nil Prep reproduces the original
-	// recompute-per-cell path. Like Telemetry, it cannot change results:
+	// answers are computed once per query instead of once per cell.
+	// NewRunner and NewSequentialRunner attach one; a nil Prep reproduces
+	// the original recompute-per-cell path. Like Telemetry, it cannot change results:
 	// scorecards are byte-identical with or without it.
 	Prep *PrepCache
 	// Resilience, when non-nil, runs every cell through the retry /
@@ -73,9 +72,9 @@ func NewSequentialRunner() *Runner {
 }
 
 // NewStreamingRunner returns a runner over a generated query set with NO
-// shared-prep cache attached: expected answers and compiled plans are
-// computed per cell and become garbage as soon as the cell is scored,
-// instead of accumulating for the lifetime of the run. This is the
+// shared-prep cache attached: expected answers are computed per cell and
+// become garbage as soon as the cell is scored, instead of accumulating
+// for the lifetime of the run. This is the
 // bounded-memory contract scenario-scale evaluations rely on — a
 // 10k-source workload holds O(pool) cells of state, not O(sources) — at
 // the cost of recomputing preparation work that a PrepCache would share.

@@ -1,10 +1,14 @@
-// Package explain records a hierarchical, low-overhead trace of a single
-// benchmark query evaluation: operator-level spans from the XQuery
-// evaluator (FLWOR clauses, path steps, function calls, constructors) and
-// provenance events from the integration systems (which mapping fired,
-// which warehouse or SQL view answered, which transform was charged). The
-// assembled Trace renders as an indented text plan, JSON, and a one-line
-// digest — the diagnostic companion to the scorecard's pass/fail verdict.
+// Package explain is the module's one span model. It records a
+// hierarchical, low-overhead trace of a single benchmark query evaluation:
+// operator-level spans from the XQuery evaluator (FLWOR clauses, path
+// steps, function calls, constructors) and provenance events from the
+// integration systems (which mapping fired, which warehouse or SQL view
+// answered, which transform was charged). The web site records each HTTP
+// request it serves as a trace too, rooted at a KindRequest span and
+// identified by the request ID, and keeps the recent ones for
+// /debug/traces. The assembled Trace renders as an indented text plan,
+// JSON, and a one-line digest — the diagnostic companion to the
+// scorecard's pass/fail verdict.
 //
 // Instrumentation is injected through a context-carried *Recorder. The
 // zero-recorder path is the contract that keeps the benchmark honest: every
@@ -35,7 +39,10 @@ type Kind string
 // The span/event vocabulary. Spans have duration (operators, system calls);
 // events are instantaneous provenance marks attached to the open span.
 const (
-	// KindEval is the root span: one query evaluated against one system.
+	// KindRequest is the root span of one HTTP request served by the web
+	// site, named "<METHOD> <route>".
+	KindRequest Kind = "request"
+	// KindEval is the root span of one query evaluated against one system.
 	KindEval Kind = "eval"
 	// KindAnswer is a system's Answer call for one request.
 	KindAnswer Kind = "answer"
@@ -174,9 +181,10 @@ func (r *Recorder) Event(kind Kind, name string, attrs ...Attr) {
 	r.events++
 }
 
-// SetTraceID links the trace to an external identifier — the website stamps
-// the telemetry tracer's ID here so /debug/explain traces can be correlated
-// with /debug/traces. Safe on a nil receiver.
+// SetTraceID links the trace to an external identifier. The web site stamps
+// the request ID here, both on the request trace it keeps for /debug/traces
+// and on the cell trace /debug/explain serves, so the access log and both
+// endpoints name a request by one value. Safe on a nil receiver.
 func (r *Recorder) SetTraceID(id string) {
 	if r == nil {
 		return
@@ -273,8 +281,10 @@ func (s *Span) With(key, value string) *Span {
 
 // Trace is the assembled, immutable form of a recording.
 type Trace struct {
-	// TraceID is the linked telemetry trace ID, when set.
+	// TraceID is the linked external ID (the site's request ID), when set.
 	TraceID string `json:"trace_id,omitempty"`
+	// Start is the root span's start time; zero for an empty trace.
+	Start time.Time `json:"start"`
 	// Spans and Events count the recorded nodes of each flavor.
 	Spans  int   `json:"spans"`
 	Events int   `json:"events"`
@@ -310,6 +320,7 @@ func (r *Recorder) Trace() *Trace {
 	r.sealNowLocked(time.Now())
 	t := &Trace{TraceID: r.traceID, Spans: r.spans, Events: r.events}
 	if r.root != nil {
+		t.Start = r.root.start
 		t.Root = snapshot(r.root)
 	}
 	return t

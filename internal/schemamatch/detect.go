@@ -31,6 +31,28 @@ type conceptInfo struct {
 	emptyVals bool // present but sometimes empty
 }
 
+// conceptOrder is the fixed order in which DetectPair's rules consider
+// concepts: the declaration order of the global vocabulary. Rules that
+// report one example concept report the first qualifying one in this order
+// rather than whichever a map range happens to yield first.
+var conceptOrder = []Concept{
+	ConceptCourse, ConceptNumber, ConceptTitle, ConceptInstructor, ConceptTime, ConceptDay,
+	ConceptRoom, ConceptCredits, ConceptTextbook, ConceptPrereq, ConceptRestrict, ConceptSection,
+}
+
+// firstShared returns the first concept in conceptOrder that both profiles
+// contain and whose pair of infos satisfies pred.
+func firstShared(a, b map[Concept]*conceptInfo, pred func(ia, ib *conceptInfo) bool) (Concept, bool) {
+	for _, c := range conceptOrder {
+		ia, okA := a[c]
+		ib, okB := b[c]
+		if okA && okB && pred(ia, ib) {
+			return c, true
+		}
+	}
+	return ConceptUnknown, false
+}
+
 // profile builds the concept map of one source: concept → info about the
 // best-matching element. Markup leaves (elements whose only child elements
 // are anchors) count as leaves, so Brown's hyperlinked columns profile too.
@@ -142,7 +164,7 @@ var (
 // heterogeneity cases the pair appears to exhibit — the paper's manual
 // classification, operationalized. Heuristics are deliberately conservative:
 // a reported case carries concrete evidence, but absence of a report is not
-// proof of homogeneity.
+// proof of homogeneity. The result, evidence included, is deterministic.
 func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 	a, err := m.profile(ref)
 	if err != nil {
@@ -158,24 +180,16 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 	}
 
 	// Case 1 — Synonyms: a shared concept under different element names.
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.element != ib.element {
-			add(hetero.Synonyms, string(concept)+": "+ref.Name+"/"+ia.element+" vs "+chal.Name+"/"+ib.element)
-			break
-		}
+	if c, ok := firstShared(a, b, func(ia, ib *conceptInfo) bool { return ia.element != ib.element }); ok {
+		add(hetero.Synonyms, string(c)+": "+ref.Name+"/"+a[c].element+" vs "+chal.Name+"/"+b[c].element)
 	}
 
 	// Case 5 — Language expression: a concept resolved through the lexicon
 	// on exactly one side.
-	for concept, ia := range a {
-		ib, ok := b[concept]
-		if !ok {
-			continue
-		}
-		if (ia.evidence == "lexicon") != (ib.evidence == "lexicon") {
-			add(hetero.LanguageExpression, string(concept)+" named in another language")
-			break
-		}
+	if c, ok := firstShared(a, b, func(ia, ib *conceptInfo) bool {
+		return (ia.evidence == "lexicon") != (ib.evidence == "lexicon")
+	}); ok {
+		add(hetero.LanguageExpression, string(c)+" named in another language")
 	}
 
 	// Case 2 — Simple mapping: the time concept is spelled on different
@@ -192,11 +206,8 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 
 	// Case 3 — Union types: a concept is plain text on one side and
 	// string-plus-link markup on the other.
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.mixed != ib.mixed {
-			add(hetero.UnionTypes, string(concept)+" is a string-plus-link union on one side")
-			break
-		}
+	if c, ok := firstShared(a, b, func(ia, ib *conceptInfo) bool { return ia.mixed != ib.mixed }); ok {
+		add(hetero.UnionTypes, string(c)+" is a string-plus-link union on one side")
 	}
 
 	// Case 4 — Complex mappings: the credits concept is a plain number on
@@ -212,15 +223,10 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 
 	// Case 6 — Nulls: a shared concept that is optional or empty-valued on
 	// at least one side.
-	for concept, ia := range a {
-		ib, ok := b[concept]
-		if !ok {
-			continue
-		}
-		if ia.optional || ib.optional || ia.emptyVals || ib.emptyVals {
-			add(hetero.Nulls, string(concept)+" missing or empty for some courses")
-			break
-		}
+	if c, ok := firstShared(a, b, func(ia, ib *conceptInfo) bool {
+		return ia.optional || ib.optional || ia.emptyVals || ib.emptyVals
+	}); ok {
+		add(hetero.Nulls, string(c)+" missing or empty for some courses")
 	}
 
 	// Case 7 — Virtual columns: a concept explicit on one side exists only
@@ -250,16 +256,10 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 	// different depths (course-level vs nested under sections), or a concept
 	// explicit on one side but buried inside another concept's values on the
 	// other (Maryland's room inside Section/Time).
-	case9 := false
-	for concept, ia := range a {
-		if ib, ok := b[concept]; ok && ia.depth != ib.depth {
-			add(hetero.SameAttributeDifferentStructure,
-				string(concept)+" at depth "+strconv.Itoa(ia.depth)+" vs "+strconv.Itoa(ib.depth))
-			case9 = true
-			break
-		}
-	}
-	if !case9 {
+	if c, ok := firstShared(a, b, func(ia, ib *conceptInfo) bool { return ia.depth != ib.depth }); ok {
+		add(hetero.SameAttributeDifferentStructure,
+			string(c)+" at depth "+strconv.Itoa(a[c].depth)+" vs "+strconv.Itoa(b[c].depth))
+	} else {
 		_, inA := a[ConceptRoom]
 		_, inB := b[ConceptRoom]
 		if inA != inB {
@@ -299,10 +299,15 @@ func (m *Matcher) DetectPair(ref, chal *catalog.Source) ([]Detection, error) {
 
 	// Case 11 — Attribute name does not define semantics: a concept that
 	// could only be recovered from instance evidence.
-	for concept, info := range merged(a, b) {
-		if info.evidence == "instance" {
+	// The challenge side's element is reported when both sides qualify.
+	for _, c := range conceptOrder {
+		info := b[c]
+		if info == nil || info.evidence != "instance" {
+			info = a[c]
+		}
+		if info != nil && info.evidence == "instance" {
 			add(hetero.AttributeNameDoesNotDefineSemantics,
-				info.element+" matched "+string(concept)+" by values only")
+				info.element+" matched "+string(c)+" by values only")
 			break
 		}
 	}
@@ -426,17 +431,4 @@ func namesEmbedded(samples []string) bool {
 		}
 	}
 	return false
-}
-
-func merged(a, b map[Concept]*conceptInfo) map[Concept]*conceptInfo {
-	out := map[Concept]*conceptInfo{}
-	for c, i := range a {
-		out[c] = i
-	}
-	for c, i := range b {
-		if _, ok := out[c]; !ok || i.evidence == "instance" {
-			out[c] = i
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package schemamatch
 
 import (
+	"reflect"
 	"testing"
 
 	"thalia/internal/benchmark"
@@ -97,6 +98,36 @@ func TestDetectorGermanPairNoLanguageCase(t *testing.T) {
 	for _, d := range dets {
 		if d.Case == hetero.LanguageExpression {
 			t.Errorf("tum vs karlsruhe should not exhibit case 5: %s", d.Evidence)
+		}
+	}
+}
+
+// DetectPair is deterministic: the same pair always yields the same cases
+// with the same evidence, so `thalia detect` output is reproducible.
+func TestDetectPairDeterministic(t *testing.T) {
+	m := New()
+	for _, q := range benchmark.Queries() {
+		ref, err := catalog.Get(q.Reference)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chal, err := catalog.Get(q.ChallengeSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := m.DetectPair(ref, chal)
+		if err != nil {
+			t.Fatalf("query %d: %v", q.ID, err)
+		}
+		for i := 1; i < 20; i++ {
+			got, err := m.DetectPair(ref, chal)
+			if err != nil {
+				t.Fatalf("query %d: %v", q.ID, err)
+			}
+			if !reflect.DeepEqual(got, first) {
+				t.Fatalf("query %d (%s vs %s), repeat %d:\n got %v\nwant %v",
+					q.ID, q.Reference, q.ChallengeSource, i, got, first)
+			}
 		}
 	}
 }

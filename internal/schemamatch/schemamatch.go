@@ -59,6 +59,7 @@ type Candidate struct {
 // Matcher matches source schemas against the global concept vocabulary.
 type Matcher struct {
 	dict     map[string]Concept
+	entries  []string // dict's keys, sorted: the similarity scan's fixed order
 	lexicons []*mapping.Lexicon
 }
 
@@ -93,6 +94,10 @@ func New() *Matcher {
 	add(ConceptPrereq, "prerequisite", "prereq", "prerequisites")
 	add(ConceptRestrict, "restrictions", "restriction", "restricted")
 	add(ConceptSection, "section", "sections", "meeting", "sec")
+	for entry := range m.dict {
+		m.entries = append(m.entries, entry)
+	}
+	sort.Strings(m.entries)
 	return m
 }
 
@@ -113,12 +118,13 @@ func (m *Matcher) MatchName(name string) Candidate {
 			return Candidate{Element: name, Concept: c, Score: 0.9, Evidence: "lexicon"}
 		}
 	}
-	// String similarity against every dictionary entry.
+	// String similarity against every dictionary entry; on a tie the
+	// alphabetically first entry wins.
 	best := Candidate{Element: name, Concept: ConceptUnknown, Evidence: "name"}
-	for entry, c := range m.dict {
+	for _, entry := range m.entries {
 		s := similarity(key, entry)
 		if s > best.Score {
-			best.Concept = c
+			best.Concept = m.dict[entry]
 			best.Score = s
 		}
 	}

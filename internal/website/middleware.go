@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
+	"thalia/internal/explain"
 	"thalia/internal/telemetry"
 )
 
@@ -106,7 +108,8 @@ func routeLabel(path string) string {
 
 // requestID stamps every request with a process-local sequential ID,
 // exposed as the X-Request-ID response header and reused by the access log
-// so one request can be followed across log lines, traces and clients.
+// and, as the trace ID, by the request's trace, so one request can be
+// followed across log lines, traces and clients.
 func (s *Site) requestID() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -139,31 +142,67 @@ func (s *Site) accessLog() middleware {
 }
 
 // httpMetrics records per-route latency and status counts into the site
-// registry and a span per request into the site tracer.
+// registry, and the request as a one-span explain trace into the site's
+// trace ring.
 func (s *Site) httpMetrics() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			route := routeLabel(r.URL.Path)
 			inFlight := s.metrics.Gauge(MetricHTTPInFlight)
 			inFlight.Inc()
-			span := s.tracer.Start(r.Method+" "+route, telemetry.L("path", r.URL.Path))
-			// The telemetry trace ID travels both ways: clients see it on
-			// the response, downstream handlers (/debug/explain) read it
-			// from the request to link explain traces to this span.
-			w.Header().Set("X-Trace-ID", span.TraceID())
-			r.Header.Set("X-Trace-ID", span.TraceID())
+			rec := explain.NewRecorder()
+			span := rec.Begin(explain.KindRequest, r.Method+" "+route, explain.A("path", r.URL.Path))
+			// The trace ID is the request ID, and it travels both ways:
+			// clients see it on the response, downstream handlers
+			// (/debug/explain) read it from the request to link their
+			// explain traces to this one.
+			id := r.Header.Get("X-Request-ID")
+			rec.SetTraceID(id)
+			w.Header().Set("X-Trace-ID", id)
+			r.Header.Set("X-Trace-ID", id)
 			sw := &statusWriter{ResponseWriter: w}
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			d := time.Since(start)
 			inFlight.Dec()
-			span.SetAttr("status", strconv.Itoa(sw.status()))
-			span.End()
+			span.With("status", strconv.Itoa(sw.status())).End()
+			s.traces.push(rec.Trace())
 			s.metrics.Counter(MetricHTTPRequests,
 				telemetry.L("route", route), telemetry.L("code", strconv.Itoa(sw.status()))).Inc()
 			s.metrics.Histogram(MetricHTTPLatency, telemetry.L("route", route)).ObserveDuration(d)
 		})
 	}
+}
+
+// traceCapacity is how many request traces the site keeps for
+// /debug/traces.
+const traceCapacity = 128
+
+// traceRing keeps the site's most recent request traces; older ones are
+// overwritten.
+type traceRing struct {
+	mu     sync.Mutex
+	buf    [traceCapacity]*explain.Trace
+	pushed int // total traces ever pushed; the next slot is pushed % traceCapacity
+}
+
+func (t *traceRing) push(tr *explain.Trace) {
+	t.mu.Lock()
+	t.buf[t.pushed%traceCapacity] = tr
+	t.pushed++
+	t.mu.Unlock()
+}
+
+// recent returns up to n traces, newest first.
+func (t *traceRing) recent(n int) []*explain.Trace {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n = min(n, t.pushed, traceCapacity)
+	out := make([]*explain.Trace, n)
+	for i := range out {
+		out[i] = t.buf[(t.pushed-1-i)%traceCapacity]
+	}
+	return out
 }
 
 // recoverPanics converts a handler panic into a 500 response and a
@@ -191,6 +230,3 @@ func (s *Site) recoverPanics() middleware {
 // Metrics returns the site's metrics registry — shared by the HTTP
 // middleware and the server-side benchmark runs, and exposed at /metrics.
 func (s *Site) Metrics() *telemetry.Registry { return s.metrics }
-
-// Tracer returns the site's span tracer, exposed at /debug/traces.
-func (s *Site) Tracer() *telemetry.Tracer { return s.tracer }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"thalia/internal/explain"
 	"thalia/internal/telemetry"
 )
 
@@ -189,7 +190,7 @@ func TestDebugTraces(t *testing.T) {
 		t.Fatalf("traces: %d", rec.Code)
 	}
 	var v struct {
-		Traces []telemetry.Trace `json:"traces"`
+		Traces []explain.Trace `json:"traces"`
 	}
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatal(err)
@@ -197,8 +198,8 @@ func TestDebugTraces(t *testing.T) {
 	if len(v.Traces) != 1 {
 		t.Fatalf("traces = %d, want 1 (n=1)", len(v.Traces))
 	}
-	if v.Traces[0].Name != "GET /queries" {
-		t.Errorf("newest trace = %q, want GET /queries", v.Traces[0].Name)
+	if v.Traces[0].Root.Name != "GET /queries" {
+		t.Errorf("newest trace = %q, want GET /queries", v.Traces[0].Root.Name)
 	}
 	if rec, _ := get(t, h, "/debug/traces?n=bogus"); rec.Code != http.StatusBadRequest {
 		t.Errorf("bogus n: %d, want 400", rec.Code)

@@ -40,7 +40,7 @@ type Site struct {
 	roll benchmark.HonorRoll
 
 	metrics   *telemetry.Registry
-	tracer    *telemetry.Tracer
+	traces    traceRing
 	logger    *slog.Logger
 	nextReqID atomic.Int64
 	started   time.Time
@@ -48,13 +48,12 @@ type Site struct {
 	runs      *runManager
 }
 
-// New returns a site with an empty honor roll, a fresh metrics registry
-// and tracer, and a discarded access log (use SetSlogger for structured
+// New returns a site with an empty honor roll, a fresh metrics registry,
+// an empty request-trace ring, and a discarded access log (use SetSlogger for structured
 // output or SetLogger for the legacy line format).
 func New() *Site {
 	return &Site{
 		metrics: telemetry.NewRegistry(),
-		tracer:  telemetry.NewTracer(),
 		logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 		started: time.Now(),
 		runs:    newRunManager(),
@@ -126,7 +125,7 @@ func (s *Site) healthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// debugTraces serves the tracer's ring buffer, newest first. ?n=K limits
+// debugTraces serves the recent request traces, newest first. ?n=K limits
 // the count (default 50).
 func (s *Site) debugTraces(w http.ResponseWriter, r *http.Request) {
 	n := 50
@@ -138,18 +137,14 @@ func (s *Site) debugTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = k
 	}
-	traces := s.tracer.Recent(n)
-	if traces == nil {
-		traces = []*telemetry.Trace{}
-	}
-	writeJSON(w, map[string]any{"traces": traces})
+	writeJSON(w, map[string]any{"traces": s.traces.recent(n)})
 }
 
 // debugExplain evaluates one query×system cell with an explain recorder
 // attached and serves the operator/provenance trace: JSON by default,
-// indented text plan with ?format=text. The trace carries the request's
-// telemetry trace ID (the X-Trace-ID header stamped by the metrics
-// middleware), so an explain trace can be correlated with /debug/traces.
+// indented text plan with ?format=text. The trace carries the request ID
+// (the X-Trace-ID header stamped by the metrics middleware), so an explain
+// trace can be correlated with /debug/traces and the access log.
 func (s *Site) debugExplain(w http.ResponseWriter, r *http.Request) {
 	qid, err := parseQueryID(r.URL.Query().Get("query"))
 	if err != nil {
