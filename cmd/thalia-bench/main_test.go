@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -139,5 +140,25 @@ func TestCompareGomaxprocsMismatch(t *testing.T) {
 	want := fmt.Sprintf("gomaxprocs mismatch: baseline %d vs fresh %d", rep.GoMaxProcs-1, rep.GoMaxProcs)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// scale -profile writes the same CPU and heap profiles engine does.
+func TestScaleProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	profDir := filepath.Join(dir, "prof")
+	var out strings.Builder
+	args := []string{"scale", "-sources", "35", "-pool", "1", "-out", filepath.Join(dir, "scale.json"), "-profile", profDir}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("scale: %v\n%s", err, out.String())
+	}
+	for _, name := range []string{"cpu.pprof", "heap.pprof"} {
+		fi, err := os.Stat(filepath.Join(profDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", name)
+		}
 	}
 }

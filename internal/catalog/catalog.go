@@ -14,6 +14,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"thalia/internal/hetero"
@@ -307,30 +308,45 @@ func Resolver() func(uri string) (*xmldom.Document, error) {
 
 // Clock12 formats minutes-since-midnight on a 12-hour clock ("1:30pm").
 func Clock12(min int) string {
-	h, m := min/60, min%60
 	suffix := "am"
-	if h >= 12 {
+	if min/60 >= 12 {
 		suffix = "pm"
 	}
-	h12 := h % 12
-	if h12 == 0 {
-		h12 = 12
-	}
-	return fmt.Sprintf("%d:%02d%s", h12, m, suffix)
+	var buf [24]byte
+	return string(append(appendClock12(buf[:0], min), suffix...))
 }
 
 // Clock12Bare formats like Clock12 but without the am/pm marker, the way
 // CMU's catalog prints "1:30 - 2:50".
 func Clock12Bare(min int) string {
-	h, m := min/60, min%60
-	h12 := h % 12
-	if h12 == 0 {
-		h12 = 12
-	}
-	return fmt.Sprintf("%d:%02d", h12, m)
+	var buf [24]byte
+	return string(appendClock12(buf[:0], min))
 }
 
 // Clock24 formats minutes-since-midnight on a 24-hour clock ("13:30").
 func Clock24(min int) string {
-	return fmt.Sprintf("%02d:%02d", min/60, min%60)
+	var buf [24]byte
+	b := appendPad2(buf[:0], min/60)
+	b = append(b, ':')
+	return string(appendPad2(b, min%60))
+}
+
+// appendClock12 appends "h:mm" on a 12-hour dial, hour 0 reading as 12.
+func appendClock12(b []byte, min int) []byte {
+	h12 := min / 60 % 12
+	if h12 == 0 {
+		h12 = 12
+	}
+	b = strconv.AppendInt(b, int64(h12), 10)
+	b = append(b, ':')
+	return appendPad2(b, min%60)
+}
+
+// appendPad2 appends n in decimal, zero-padded to two digits like fmt's
+// "%02d".
+func appendPad2(b []byte, n int) []byte {
+	if n >= 0 && n < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }

@@ -76,9 +76,10 @@ func (l *Lexicon) ToEnglish(de string) (string, bool) {
 // query 5 needs exactly this: 'Database' expands to 'Datenbank' and
 // 'Datenbanksystem' before matching against ETH's catalog.
 func (l *Lexicon) ToGerman(en string) []string {
+	key := strings.ToLower(en)
 	seen := map[string]bool{}
 	var out []string
-	for _, de := range l.enToDe[strings.ToLower(en)] {
+	for _, de := range l.enToDe[key] {
 		if !seen[de] {
 			seen[de] = true
 			out = append(out, de)
@@ -86,16 +87,14 @@ func (l *Lexicon) ToGerman(en string) []string {
 	}
 	// An English stem also expands through compounds: "database" matches
 	// the stem of "databases", "database system", ...
-	for key, des := range l.enToDe {
-		if key == strings.ToLower(en) {
+	for k, des := range l.enToDe {
+		if k == key || !strings.HasPrefix(k, key) {
 			continue
 		}
-		if strings.HasPrefix(key, strings.ToLower(en)) {
-			for _, de := range des {
-				if !seen[de] {
-					seen[de] = true
-					out = append(out, de)
-				}
+		for _, de := range des {
+			if !seen[de] {
+				seen[de] = true
+				out = append(out, de)
 			}
 		}
 	}

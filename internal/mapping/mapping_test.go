@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -413,5 +414,37 @@ func TestFrenchLexicon(t *testing.T) {
 	de := NewGermanLexicon()
 	if _, ok := de.ToEnglish("Enseignant"); ok {
 		t.Error("German lexicon should not know French terms")
+	}
+}
+
+// TestLexiconToGermanCases pins ToGerman's output across letter case,
+// stems that expand through compounds, and unknown terms.
+func TestLexiconToGermanCases(t *testing.T) {
+	lex := NewGermanLexicon()
+	database := []string{"Datenbank", "Datenbanken", "Datenbanksystem", "Datenbanksysteme"}
+	cases := []struct {
+		en   string
+		want []string
+	}{
+		{"database", database},
+		{"Database", database},
+		{"DATABASE", database},
+		{"databases", []string{"Datenbanken"}},
+		{"Database System", []string{"Datenbanksystem", "Datenbanksysteme"}},
+		{"data", []string{"Datenbank", "Datenbanken", "Datenbanksystem", "Datenbanksysteme", "Datenstrukturen"}},
+		{"Data Structures", []string{"Datenstrukturen"}},
+		{"Computer", []string{"Informatik", "Rechnernetze"}},
+		{"computer science", []string{"Informatik"}},
+		{"SYSTEMS", []string{"Systeme"}},
+		{"sys", []string{"Systeme"}},
+		{"Programming", []string{"Programmierung"}},
+		{"Course", []string{"Veranstaltung", "Vorlesung"}},
+		{"Quatsch", nil},
+		{"Übersetzerbau", nil},
+	}
+	for _, tc := range cases {
+		if got := lex.ToGerman(tc.en); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ToGerman(%q) = %#v, want %#v", tc.en, got, tc.want)
+		}
 	}
 }

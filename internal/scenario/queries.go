@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/benchmark"
@@ -178,7 +179,7 @@ func truthFor(spec QuerySpec, cs []catalog.Course) []integration.Row {
 			}
 		case hetero.ComplexMappings:
 			if c.Credits > spec.Credits && titleMatch(c) {
-				add(c, integration.Row{"title": c.Title, "credits": fmt.Sprintf("%d", c.Credits)})
+				add(c, integration.Row{"title": c.Title, "credits": strconv.Itoa(c.Credits)})
 			}
 		case hetero.LanguageExpression:
 			if germanLex.ValueContains(c.GermanTitle, spec.Subject) {
@@ -246,11 +247,11 @@ func (sc *Scenario) Queries() []*benchmark.Query {
 // families whose truth bakes in mediation knowledge the reference document
 // cannot express (case 5: German values; case 8: inapplicable nulls).
 func (sc *Scenario) RefRows(i int) (rows []integration.Row, checkable bool, err error) {
-	_, spec := sc.gen(i)
+	cs, spec := sc.gen(i)
 	if spec.Case == hetero.LanguageExpression || spec.Case == hetero.SemanticIncompatibility {
 		return nil, false, nil
 	}
-	doc := sc.ReferenceDocument(i)
+	doc := sc.referenceDocument(i, cs)
 	els, err := evalToElements(spec.XQuery, spec.Source, doc)
 	if err != nil {
 		return nil, true, err

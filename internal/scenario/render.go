@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"thalia/internal/catalog"
@@ -16,7 +17,12 @@ import (
 // restriction, semester and comment.
 func (sc *Scenario) ReferenceDocument(i int) *xmldom.Document {
 	cs, _ := sc.gen(i)
+	return sc.referenceDocument(i, cs)
+}
+
+func (sc *Scenario) referenceDocument(i int, cs []catalog.Course) *xmldom.Document {
 	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
+	root.Children = make([]xmldom.Node, 0, len(cs))
 	for k := range cs {
 		root.Append(refCourse(&cs[k]))
 	}
@@ -24,14 +30,17 @@ func (sc *Scenario) ReferenceDocument(i int) *xmldom.Document {
 }
 
 // ChallengeDocument renders source i in its heterogeneity dialect: the
-// reference shape transformed by the source's assigned case. The switch
-// below is the generator's per-class dispatch — every hetero.Case must
-// have an arm here (enforced by the scenariocoverage vet analyzer).
+// reference shape transformed by the source's assigned case.
 func (sc *Scenario) ChallengeDocument(i int) *xmldom.Document {
 	cs, spec := sc.gen(i)
+	return sc.challengeDocument(i, cs, spec.Case)
+}
+
+func (sc *Scenario) challengeDocument(i int, cs []catalog.Course, cse hetero.Case) *xmldom.Document {
 	root := xmldom.NewElement("catalog").SetAttr("school", sc.Name(i))
+	root.Children = make([]xmldom.Node, 0, len(cs))
 	for k := range cs {
-		root.Append(challengeCourse(&cs[k], spec.Case))
+		root.Append(challengeCourse(&cs[k], cse))
 	}
 	return xmldom.NewDocument(root)
 }
@@ -50,23 +59,47 @@ func timeRange24(c *catalog.Course) string {
 	return catalog.Clock24(c.Start) + "-" + catalog.Clock24(c.End)
 }
 
-// refCourse builds one reference-shaped course element.
+// refFields is the number of single-valued fields in a reference course
+// (every field but the instructors).
+const refFields = 11
+
+// refCourse builds one reference-shaped course element. The course's
+// elements, text nodes and child lists come from three slabs sized up
+// front, so a course costs a few allocations instead of several per field.
 func refCourse(c *catalog.Course) *xmldom.Element {
-	e := xmldom.NewElement("course")
-	appendField(e, "number", c.Number)
-	appendField(e, "title", c.Title)
-	for _, in := range c.Instructors {
-		appendField(e, "instructor", in.Name)
+	n := refFields + len(c.Instructors)
+	els := make([]xmldom.Element, 1+n)
+	texts := make([]xmldom.Text, n)
+	kids := make([]xmldom.Node, 2*n) // n field text slots, then the course's n children
+	e := &els[0]
+	e.Name = "course"
+	e.Children = kids[n : n : 2*n]
+	k := 0
+	field := func(name, value string) {
+		f := &els[1+k]
+		f.Name = name
+		if value != "" {
+			texts[k].Data = value
+			f.Children = kids[k : k : k+1]
+			f.Append(&texts[k])
+		}
+		e.Append(f)
+		k++
 	}
-	appendField(e, "days", c.Days)
-	appendField(e, "time", timeRange24(c))
-	appendField(e, "room", c.Room)
-	appendField(e, "credits", fmt.Sprintf("%d", c.Credits))
-	appendField(e, "prerequisite", c.Prereq)
-	appendField(e, "textbook", c.Textbook)
-	appendField(e, "restriction", c.Restrict)
-	appendField(e, "semester", c.Semester)
-	appendField(e, "comment", c.Comment)
+	field("number", c.Number)
+	field("title", c.Title)
+	for _, in := range c.Instructors {
+		field("instructor", in.Name)
+	}
+	field("days", c.Days)
+	field("time", timeRange24(c))
+	field("room", c.Room)
+	field("credits", strconv.Itoa(c.Credits))
+	field("prerequisite", c.Prereq)
+	field("textbook", c.Textbook)
+	field("restriction", c.Restrict)
+	field("semester", c.Semester)
+	field("comment", c.Comment)
 	return e
 }
 
@@ -81,7 +114,9 @@ func appendField(e *xmldom.Element, name, value string) {
 // challengeCourse transforms a reference-shaped course into the dialect of
 // the given heterogeneity case. Each arm realizes exactly one of the
 // paper's twelve cases, phrased so internal/hetero.DetectDocs diagnoses
-// that case (and only that case) from the rendered pair.
+// that case (and only that case) from the rendered pair. The switch is the
+// generator's per-class dispatch: every hetero.Case must have an arm here
+// (enforced by the scenariocoverage vet analyzer).
 func challengeCourse(c *catalog.Course, cse hetero.Case) *xmldom.Element {
 	e := refCourse(c)
 	switch cse {

@@ -293,10 +293,13 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
+// bilingual pairs an English phrase with its German rendering.
+type bilingual struct{ en, de string }
+
 // Vocabulary pools. Subjects pair each English topic with the German
 // rendering the mapping lexicon knows, so language-expression sources stay
 // resolvable by the same dictionary the canonical testbed uses.
-var subjects = []struct{ en, de string }{
+var subjects = []bilingual{
 	{"Database Systems", "Datenbanksysteme"},
 	{"Data Structures", "Datenstrukturen"},
 	{"Operating Systems", "Betriebssysteme"},
@@ -308,7 +311,7 @@ var subjects = []struct{ en, de string }{
 	{"Computer Science", "Informatik"},
 }
 
-var titlePrefixes = []struct{ en, de string }{
+var titlePrefixes = []bilingual{
 	{"Introduction to ", "Einführung in "},
 	{"Advanced ", "Fortgeschrittene "},
 	{"", ""},
@@ -325,6 +328,62 @@ var buildings = []string{"Hall", "Weil", "Benton", "CSE"}
 var dayPool = []string{"MWF", "TTh", "MW", "F", "TTh"}
 
 var semesters = []string{"Fall 2003", "Winter 2004", "Spring 2004"}
+
+var restricts = []string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
+
+// tabledCourses is how many course numbers ("CS100".."CS163") are
+// pre-rendered; larger catalogs format the rest on demand.
+const tabledCourses = 64
+
+// roomCount is the number of room numbers per building ("100".."399").
+const roomCount = 300
+
+// Generator tables, built once by init from the vocabularies above, so
+// genCourse assembles a course from lookups instead of formatting strings.
+// Each is O(vocabulary): independent of Params.Size and of the source
+// count.
+var (
+	courseNumbers   [tabledCourses]string
+	titles          [][]bilingual // [prefix][subject]
+	textbooks       []string      // [subject]
+	instructorNames [][]string    // [first][last]
+	roomNumbers     [roomCount]string
+)
+
+func init() {
+	for j := range courseNumbers {
+		courseNumbers[j] = "CS" + strconv.Itoa(100+j)
+	}
+	titles = make([][]bilingual, len(titlePrefixes))
+	for pi, p := range titlePrefixes {
+		titles[pi] = make([]bilingual, len(subjects))
+		for si, s := range subjects {
+			titles[pi][si] = bilingual{p.en + s.en, p.de + s.de}
+		}
+	}
+	textbooks = make([]string, len(subjects))
+	for si, s := range subjects {
+		textbooks[si] = "Foundations of " + s.en
+	}
+	instructorNames = make([][]string, len(firstNames))
+	for fi, f := range firstNames {
+		instructorNames[fi] = make([]string, len(lastNames))
+		for li, l := range lastNames {
+			instructorNames[fi][li] = f + " " + l
+		}
+	}
+	for k := range roomNumbers {
+		roomNumbers[k] = strconv.Itoa(100 + k)
+	}
+}
+
+// courseNumber returns the j-th course's number, "CS" followed by 100+j.
+func courseNumber(j int) string {
+	if j < tabledCourses {
+		return courseNumbers[j]
+	}
+	return "CS" + strconv.Itoa(100+j)
+}
 
 // gen generates source i: its ground-truth courses and the query spec for
 // its family. Everything derives from the source's splitmix64 stream, so
@@ -345,8 +404,8 @@ func (sc *Scenario) gen(i int) ([]catalog.Course, QuerySpec) {
 	return cs, spec
 }
 
-// subjectIdx recovers which subject a generated title used; genCourse
-// stamps it in the description so no side table is needed.
+// courseSubject recovers which subject a generated title used by finding
+// the subject's English name in the title, so no side table is needed.
 func courseSubject(c *catalog.Course) int {
 	for idx := range subjects {
 		if strings.Contains(c.Title, subjects[idx].en) {
@@ -360,10 +419,12 @@ func courseSubject(c *catalog.Course) int {
 // anchors the source's query parameters, so a few case-specific guarantees
 // are forced there: a set-valued instructor list for case 10, a present
 // textbook for case 6 (with j==1 forced empty so both null flavors exist).
+// Every string comes from the generator tables; the draw order is part of
+// the determinism contract and must not change.
 func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	si := r.intn(len(subjects))
 	pi := r.intn(len(titlePrefixes))
-	num := fmt.Sprintf("CS%d", 100+j)
+	num := courseNumber(j)
 
 	nInstr := 1 + r.intn(2)
 	if cse == hetero.AttributeNameDoesNotDefineSemantics {
@@ -374,9 +435,9 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	}
 	instructors := make([]catalog.Instructor, nInstr)
 	for k := range instructors {
-		instructors[k] = catalog.Instructor{
-			Name: firstNames[r.intn(len(firstNames))] + " " + lastNames[r.intn(len(lastNames))],
-		}
+		first := r.intn(len(firstNames))
+		last := r.intn(len(lastNames))
+		instructors[k] = catalog.Instructor{Name: instructorNames[first][last]}
 	}
 
 	start := 8*60 + 30*r.intn(18) // 08:00 .. 16:30
@@ -389,42 +450,44 @@ func genCourse(r *rng, cse hetero.Case, j int) catalog.Course {
 	prereq := "None"
 	comment := "No prerequisite required."
 	if r.intn(2) == 1 && j > 0 {
-		prereq = fmt.Sprintf("CS%d", 100+r.intn(j))
-		comment = fmt.Sprintf("Prerequisite: %s required.", prereq)
+		prereq = courseNumber(r.intn(j))
+		comment = "Prerequisite: " + prereq + " required."
 	}
 
 	textbook := ""
 	if r.intn(3) > 0 {
-		textbook = "Foundations of " + subjects[si].en
+		textbook = textbooks[si]
 	}
 	if cse == hetero.Nulls {
 		// Both null flavors must exist for the heterogeneity to be
 		// observable: the planted course has a textbook, its neighbor
 		// provably lacks one.
 		if j == 0 {
-			textbook = "Foundations of " + subjects[si].en
+			textbook = textbooks[si]
 		}
 		if j == 1 {
 			textbook = ""
 		}
 	}
 
-	restricts := []string{"JR or SR", "SR", "FR, SO", "GR", "JR"}
-
+	days := dayPool[r.intn(len(dayPool))]
+	building := buildings[r.intn(len(buildings))]
+	room := building + " " + roomNumbers[r.intn(roomCount)]
+	restrict := restricts[r.intn(len(restricts))]
 	return catalog.Course{
 		Number:      num,
-		Title:       titlePrefixes[pi].en + subjects[si].en,
+		Title:       titles[pi][si].en,
 		TitleURL:    "http://courses.example.edu/" + num,
-		GermanTitle: titlePrefixes[pi].de + subjects[si].de,
+		GermanTitle: titles[pi][si].de,
 		Instructors: instructors,
-		Days:        dayPool[r.intn(len(dayPool))],
+		Days:        days,
 		Start:       start,
 		End:         start + dur,
-		Room:        fmt.Sprintf("%s %d", buildings[r.intn(len(buildings))], 100+r.intn(300)),
+		Room:        room,
 		Credits:     credits,
 		Prereq:      prereq,
 		Textbook:    textbook,
-		Restrict:    restricts[r.intn(len(restricts))],
+		Restrict:    restrict,
 		Semester:    semesters[r.intn(len(semesters))],
 		Comment:     comment,
 	}

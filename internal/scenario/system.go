@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"thalia/internal/hetero"
@@ -40,17 +41,16 @@ func (m *Mediator) Description() string {
 // Docs exposes the mediator's document source for memory accounting.
 func (m *Mediator) Docs() *DocSource { return m.docs }
 
-// Answer implements integration.System: materialize the challenge
-// document, run the challenge-dialect query through the compiled-plan
-// engine, shape rows with the class's mapping functions, release the
-// document.
+// Answer implements integration.System: acquire the challenge document
+// and its query spec from one generator call, run the challenge-dialect
+// query through the compiled-plan engine, shape rows with the class's
+// mapping functions, release the document.
 func (m *Mediator) Answer(req integration.Request) (*integration.Answer, error) {
 	i, err := m.sc.Index(req.Challenge)
 	if err != nil {
 		return nil, err
 	}
-	spec := m.sc.Spec(i)
-	doc := m.docs.Acquire(i)
+	doc, spec := m.docs.Acquire(i)
 	defer m.docs.Release(i)
 	els, err := evalToElements(spec.ChallengeXQuery, spec.Source, doc)
 	if err != nil {
@@ -105,7 +105,7 @@ func chalExtract(spec QuerySpec, el *xmldom.Element) ([]integration.Row, error) 
 			return nil, fmt.Errorf("scenario: mediator %s: %w", spec.Source, err)
 		}
 		if u.CreditHours() > spec.Credits {
-			add(integration.Row{"title": title, "credits": fmt.Sprintf("%d", u.CreditHours())})
+			add(integration.Row{"title": title, "credits": strconv.Itoa(u.CreditHours())})
 		}
 	case hetero.LanguageExpression:
 		course = el.ChildText("Nummer")
